@@ -10,19 +10,10 @@
 
 use medsim_bench::{spec_from_env, timed};
 use medsim_core::experiments::cmp_scaling;
-use medsim_core::report::{format_cmp_curves, format_schedule_note};
-use medsim_core::sim::SimConfig;
-use medsim_workloads::trace::SimdIsa;
+use medsim_core::report::format_cmp_curves;
 
 fn main() {
     let spec = spec_from_env();
-    // The sweep's largest machine, as one run would configure it: the
-    // note records which host schedule (exec mode + stepping quantum)
-    // produced the wall-clock numbers below.
-    println!(
-        "{}",
-        format_schedule_note(&SimConfig::new(SimdIsa::Mom, 2).with_cores(4))
-    );
     let curves = timed("cmp_scaling", || cmp_scaling(&spec));
     println!(
         "{}",

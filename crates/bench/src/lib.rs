@@ -266,8 +266,7 @@ impl GateMode {
 /// The headline rows whose wall-clock regressions fail CI: the
 /// figure-5 grid (end-to-end), the raw single-thread hot path, the
 /// sharded-frontend single big run, the packed block-decode throughput,
-/// the 4-core CMP run under both the environment-default machine
-/// and the forced quantum-parallel schedule, the observability
+/// the 4-core CMP run, the observability
 /// off-path (a run with every `MEDSIM_TRACE_EVENTS`-family knob off —
 /// the price of the dormant `obs::tracing()` checks on the hot path,
 /// which must stay zero), the decoupled vector-fetch run so the
@@ -282,7 +281,6 @@ pub const GATED_ROWS: &[&str] = &[
     "sharded_frontend",
     "packed_block_decode",
     "cmp_4core",
-    "cmp_4core_quantum",
     "obs_off_overhead",
     "decoupled_vector",
     "warm_grid",
@@ -710,7 +708,6 @@ mod tests {
         assert!(is_gated("fig5_real"));
         assert!(is_gated("pipeline_1thread"));
         assert!(is_gated("cmp_4core"));
-        assert!(is_gated("cmp_4core_quantum"));
         assert!(is_gated("obs_off_overhead"));
         assert!(is_gated("decoupled_vector"));
         assert!(is_gated("warm_grid"));

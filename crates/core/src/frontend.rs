@@ -179,20 +179,6 @@ impl BudgetClaim<'_> {
     pub fn taken(&self) -> usize {
         self.taken
     }
-
-    /// Return permits beyond `keep` to the pool immediately; the rest
-    /// stay held until drop. Lets a caller that over-claimed (it could
-    /// not know its real need yet) hand the surplus back to concurrent
-    /// grid workers and frontend shards instead of parking it.
-    pub fn shrink_to(&mut self, keep: usize) {
-        if keep < self.taken {
-            self.budget.permits.fetch_add(
-                (self.taken - keep).try_into().unwrap_or(isize::MAX),
-                Ordering::AcqRel,
-            );
-            self.taken = keep;
-        }
-    }
 }
 
 impl Drop for BudgetClaim<'_> {
@@ -516,16 +502,6 @@ mod tests {
         drop(claim);
         drop(b);
         assert_eq!(budget.available(), 2, "all permits restored");
-        // Shrinking returns the surplus immediately, keeps the rest.
-        let mut claim = budget.claim_up_to(2);
-        assert_eq!(claim.taken(), 2);
-        claim.shrink_to(1);
-        assert_eq!(claim.taken(), 1);
-        assert_eq!(budget.available(), 1, "surplus permit back in the pool");
-        claim.shrink_to(5);
-        assert_eq!(claim.taken(), 1, "growing is not a thing");
-        drop(claim);
-        assert_eq!(budget.available(), 2);
     }
 
     #[test]

@@ -8,12 +8,8 @@
 //!   the first eight list entries complete) over a configured SMT
 //!   processor and memory hierarchy;
 //! * [`machine`] — the CMP machine layer: `MEDSIM_CORES` SMT cores
-//!   with private L1 levels sharing one L2/DRAM backend behind a
-//!   deterministic bus arbiter; `MEDSIM_EXEC=parallel` steps cores on
-//!   budgeted worker threads in multi-cycle quanta bounded by the
-//!   hierarchy's cross-core interaction latency (`MEDSIM_QUANTUM`
-//!   overrides; `1` degenerates to the per-cycle barrier), bitwise
-//!   identical to the serial reference (`tests/cmp_equivalence.rs`);
+//!   with private L1 levels sharing one L2/DRAM backend, stepped cycle
+//!   by cycle in fixed core order (the deterministic bus arbiter);
 //! * [`metrics`] — IPC, the **EIPC** metric for cross-ISA comparison
 //!   (`EIPC = (I_MMX / I_MOM) × IPC_MOM`, §5.1), and speedups;
 //! * [`runner`] — the parallel experiment engine: [`runner::run_grid`]

@@ -1,81 +1,27 @@
 //! The CMP machine layer: N SMT cores sharing an L2/DRAM backend,
-//! stepped in multi-cycle quanta bounded by the hierarchy's cross-core
-//! interaction latency (degenerating to per-cycle lockstep).
+//! stepped cycle by cycle in fixed core order.
 //!
 //! The paper's machine is one SMT core. This module scales the *machine
 //! model* along the scale-out axis: every core is a full
 //! [`Cpu`] pipeline with private L1 levels (data/instruction caches,
 //! MSHRs, write buffer, ports, banks), and all cores contend on one
-//! [`L2Backend`] — the shared-cache pressure that decides throughput
-//! for low-operational-intensity media kernels.
+//! [`L2Backend`](medsim_mem::L2Backend) — the shared-cache pressure that
+//! decides throughput for low-operational-intensity media kernels.
 //!
 //! ## The per-cycle bus arbiter
 //!
-//! Each machine cycle is two phases per core:
-//!
-//! 1. **Phase A** ([`Cpu::cycle_compute`]) — complete, commit, and
-//!    issue from the integer/FP/SIMD queues. Touches only core-private
-//!    state, so the phases of different cores commute.
-//! 2. **Phase B** ([`Cpu::cycle_mem_frontend`]) — memory issue,
-//!    dispatch and fetch: everything that reaches the memory system.
-//!    The machine runs this phase **serially in fixed core order**,
-//!    which is the bus arbiter: the shared backend always observes the
-//!    same deterministic, monotonic request sequence, so results are
-//!    seed-stable and independent of host scheduling.
-//!
-//! Under [`ExecMode::Serial`] one thread runs both phases core by core
-//! — the reference schedule. Under [`ExecMode::Parallel`] phase A fans
-//! out across worker threads (permits drawn from the run's
-//! [`JobBudget`](crate::frontend::JobBudget), the same pool the grid
-//! runner and the sharded frontends use) behind a per-cycle barrier,
-//! and phase B stays serial. Because phase A is core-private and phase
-//! B order is fixed, the two modes are **bitwise identical** — enforced
-//! by `tests/cmp_equivalence.rs` over cores × threads × hierarchies —
-//! and a 1-core machine is stat-for-stat the pre-CMP pipeline.
-//!
-//! ## Multi-cycle quanta, and how they stay deterministic
-//!
-//! Two barriers per simulated cycle dwarf the ~µs of phase-A work, so
-//! the parallel schedule steps cores in multi-cycle **quanta** whenever
-//! it can prove the serial outcome is unchanged — classic conservative-
-//! lookahead parallel discrete-event simulation. The lookahead is the
-//! minimum cross-core interaction latency of the active memory
-//! configuration ([`MemConfig::quantum_bound`]: nothing comes back out
-//! of the shared L2/DRAM backend faster than an L2 hit), overridable
-//! with `MEDSIM_QUANTUM` / [`SimConfig::quantum`]. Determinism and
-//! bitwise equality with the serial reference rest on four mechanisms:
-//!
-//! 1. **Deferred fire-and-forget traffic.** Inside a quantum each
-//!    core's `MemSystem` runs in deferred mode: the only backend
-//!    traffic with no synchronous reply (write-buffer drain slots) is
-//!    logged cycle-stamped per core instead of touching the backend.
-//! 2. **Parking.** Before each in-quantum cycle's phase B the core
-//!    checks, conservatively, whether any memory issue or I-fetch might
-//!    need a backend *reply* this cycle ([`Cpu::step_quantum`]) —
-//!    including the indirect case where a ready store's write-allocate
-//!    would evict the L1 set a probed-resident ready load depends on;
-//!    if so it stops with phase A done and its local clock frozen. A
-//!    `debug_assert` in `MemSystem` guarantees the check never
-//!    under-approximates.
-//! 3. **The boundary merge.** At the quantum boundary one thread
-//!    replays every core's log and finishes every parked core in
-//!    **(cycle, core) order** — exactly the per-cycle bus-arbiter
-//!    sequence the serial schedule produces, so the backend observes
-//!    the identical monotonic request stream.
-//! 4. **The supply horizon.** A quantum is only taken when every
-//!    thread of every core has enough instructions pulled ahead
-//!    ([`Cpu::quantum_horizon`]) that in-quantum fetches never query a
-//!    source and no context can drain mid-quantum (the §5.1 refill
-//!    stays a boundary-only event). Otherwise the round degenerates to
-//!    the per-cycle lockstep schedule above — which is also the `K=1`
-//!    behavior, so `MEDSIM_QUANTUM=1` continuously proves the
-//!    degenerate case equals the barrier schedule.
+//! Each machine cycle steps every core once, **serially in fixed core
+//! order** ([`Cpu::cycle_no_ff`]). That order is the bus arbiter: the
+//! shared backend always observes the same deterministic, monotonic
+//! request sequence, so results are seed-stable and independent of host
+//! scheduling, and a 1-core machine is stat-for-stat the pre-CMP
+//! pipeline. Host parallelism comes from outside a run: the grid runner
+//! fans whole runs out across workers, and the sharded frontend
+//! produces each context's instructions on its own thread.
 //!
 //! The idle fast-forward generalizes per-core: when *no* core had any
 //! activity this cycle, the whole chip jumps to the earliest per-core
 //! wakeup (idle cycles touch no shared state, so the jump is exact).
-//! Inside a quantum the same jump applies per core, clipped at the
-//! quantum edge.
 //!
 //! The §5.1 program list generalizes to context order `(core, tid)`:
 //! context `(c, t)` starts with list slot `c × threads + t`, drained
@@ -83,70 +29,32 @@
 //! run ends when the first eight list entries complete — at one core
 //! this is exactly the paper's methodology.
 //!
-//! Environment knobs (resolved once per process):
-//!
-//! * `MEDSIM_CORES` — cores of the simulated CMP (default 1: the
-//!   paper's machine, reproducing its figures unchanged);
-//! * `MEDSIM_EXEC` — `serial` forces the reference schedule; anything
-//!   else, or unset, steps phase A on worker threads when the job
-//!   budget has permits (falling back to serial when it is dry).
+//! `MEDSIM_CORES` sets the cores of the simulated CMP (default 1: the
+//! paper's machine, reproducing its figures unchanged; resolved once
+//! per process).
 
 use crate::frontend::Frontend;
-use crate::metrics::{RunResult, SchedCounters};
+use crate::metrics::RunResult;
 use crate::runner::TraceCache;
 use crate::runreport::{Roofline, Sampler};
 use crate::sim::SimConfig;
 use medsim_cpu::{Cpu, CpuConfig};
-use medsim_mem::{DeferredOp, L2Backend, MemConfig, MemSystem, SharedL2};
+use medsim_mem::{L2Backend, MemConfig, MemSystem};
 use medsim_obs::{EventKind, LANE_MACHINE};
 use medsim_workloads::trace::{ClampSource, InstSource};
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Number of program-list entries that must complete before a run ends
 /// (§5.1: the first eight entries of the cycling list).
 pub const PROGRAMS_TO_COMPLETE: usize = 8;
 
-/// How the host steps the cores of a CMP each machine cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// How the host steps the cores of a CMP: one thread, both phases, in
+/// core order. Inert (one variant): kept for the benchmark harness.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One thread steps every core, both phases, in core order — the
-    /// differential reference schedule.
+    /// The only schedule.
     Serial,
-    /// Phase A fans out across budgeted worker threads behind a
-    /// per-cycle barrier; phase B stays serial in core order. Bitwise
-    /// identical to [`ExecMode::Serial`].
-    Parallel,
-}
-
-impl ExecMode {
-    /// Stepping mode selected by `MEDSIM_EXEC` (`serial` for the
-    /// reference schedule; anything else, or unset, parallel).
-    /// Resolved once per process.
-    #[must_use]
-    pub fn from_env() -> Self {
-        static MODE: OnceLock<ExecMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("MEDSIM_EXEC") {
-            Ok(v) if v.eq_ignore_ascii_case("serial") => ExecMode::Serial,
-            _ => ExecMode::Parallel,
-        })
-    }
-
-    /// Label used in experiment output.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            ExecMode::Serial => "serial",
-            ExecMode::Parallel => "parallel",
-        }
-    }
-}
-
-impl core::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Cores of the simulated CMP from `MEDSIM_CORES` (default 1 — the
@@ -165,33 +73,12 @@ pub fn cores_from_env() -> usize {
 
 /// The memory configuration a run actually simulates — the ablation
 /// override when present, else the paper hierarchy's defaults. The
-/// single resolution point [`build_cores`] and [`quantum_cycles`]
-/// share, so the lookahead bound always matches the simulated backend.
+/// single resolution point the machine and the result key share.
 pub(crate) fn mem_config_of(config: &SimConfig) -> MemConfig {
     config
         .mem_override
         .clone()
         .unwrap_or_else(|| MemConfig::paper_with(config.hierarchy))
-}
-
-/// The parallel-stepping quantum in cycles: the explicit override
-/// ([`SimConfig::quantum`] / `MEDSIM_QUANTUM`) when set, else `mem`'s
-/// minimum cross-core interaction latency
-/// ([`MemConfig::quantum_bound`]) — the largest lookahead that is
-/// *derivably* safe. Always ≥ 1; `1` is the degenerate per-cycle
-/// lockstep schedule. An explicit override is taken as-is (results stay
-/// bitwise identical for any value; larger quanta just park more).
-#[must_use]
-pub fn quantum_cycles(config: &SimConfig, mem: &MemConfig) -> u64 {
-    config.quantum.unwrap_or_else(|| mem.quantum_bound()).max(1)
-}
-
-/// [`quantum_cycles`] with the memory configuration resolved exactly
-/// the way the machine builds its cores (ablation override when
-/// present, else the paper hierarchy's defaults).
-#[must_use]
-pub fn resolved_quantum(config: &SimConfig) -> u64 {
-    quantum_cycles(config, &mem_config_of(config))
 }
 
 /// The §5.1 program-list scheduler generalized to `(core, tid)`
@@ -251,9 +138,7 @@ impl ProgramList {
 /// Build the machine's cores: private L1 levels each, one shared
 /// L2/DRAM backend when there is more than one core (a single core
 /// owns its backend exclusively — the zero-overhead pre-CMP layout).
-/// Returns the shared backend handle alongside the cores so the
-/// quantum merge can replay deferred traffic into it directly.
-fn build_cores(config: &SimConfig, n_cores: usize) -> (Vec<Cpu>, Option<SharedL2>) {
+fn build_cores(config: &SimConfig, n_cores: usize) -> Vec<Cpu> {
     let mem_config = mem_config_of(config);
     let cpu_config = CpuConfig::paper(config.threads, config.isa)
         .with_policy(config.fetch_policy)
@@ -261,29 +146,25 @@ fn build_cores(config: &SimConfig, n_cores: usize) -> (Vec<Cpu>, Option<SharedL2
         .with_stream_batch(config.stream_batch)
         .with_decouple(config.decouple)
         .with_decouple_depth(config.decouple_depth);
-    let mut cores: Vec<Cpu>;
-    let backend;
-    if n_cores == 1 {
-        cores = vec![Cpu::new(cpu_config, MemSystem::new(mem_config))];
-        backend = None;
+    let mut cores: Vec<Cpu> = if n_cores == 1 {
+        vec![Cpu::new(cpu_config, MemSystem::new(mem_config))]
     } else {
         let shared = L2Backend::shared(&mem_config);
-        cores = (0..n_cores)
+        (0..n_cores)
             .map(|_| {
                 Cpu::new(
                     cpu_config.clone(),
                     MemSystem::with_shared_backend(mem_config.clone(), shared.clone()),
                 )
             })
-            .collect();
-        backend = Some(shared);
-    }
+            .collect()
+    };
     // Cosmetic trace-lane tags — never read by the timing model.
     #[allow(clippy::cast_possible_truncation)]
     for (i, cpu) in cores.iter_mut().enumerate() {
         cpu.set_obs_lane(i as u32);
     }
-    (cores, backend)
+    cores
 }
 
 /// End-of-run observability outputs: the per-run JSON report
@@ -331,12 +212,9 @@ fn write_obs_outputs(
 trait Captures<'a> {}
 impl<T: ?Sized> Captures<'_> for T {}
 
-/// The per-slot instruction-source factory both schedules share: trace
-/// synthesis or packed decode through the cache, stream-length
-/// clamping, and frontend realization (inline, or on a scoped producer
-/// thread). Factored so the serial reference and the parallel schedule
-/// can never drift apart — `tests/cmp_equivalence.rs` relies on the
-/// two consuming identical instruction supplies.
+/// The per-slot instruction-source factory: trace synthesis or packed
+/// decode through the cache, stream-length clamping, and frontend
+/// realization (inline, or on a scoped producer thread).
 fn source_factory<'s, 'env: 's, 'b: 's>(
     config: &'s SimConfig,
     cache: &'s TraceCache,
@@ -356,31 +234,6 @@ fn source_factory<'s, 'env: 's, 'b: 's>(
             }
         })
     }
-}
-
-/// Contiguous chunk of cores owned by phase-A participant `p` (of
-/// `participants` total; participant 0 is the coordinator). The single
-/// source of truth for the partition — [`effective_workers`] and its
-/// starvation test are defined against this exact formula.
-fn chunk_range(p: usize, n_cores: usize, participants: usize) -> std::ops::Range<usize> {
-    let per = n_cores.div_ceil(participants);
-    (p * per).min(n_cores)..((p + 1) * per).min(n_cores)
-}
-
-/// The largest phase-A worker count (≤ `granted`) whose
-/// [`chunk_range`] partition leaves no participant with an empty core
-/// range: with few cores, `div_ceil` chunking can starve trailing
-/// participants, and an empty chunk would burn a thread, a budget
-/// permit and two barrier waits per cycle for nothing.
-fn effective_workers(n_cores: usize, granted: usize) -> usize {
-    let mut w = granted.min(n_cores.saturating_sub(1));
-    while w > 0 {
-        if !chunk_range(w, n_cores, w + 1).is_empty() {
-            break;
-        }
-        w -= 1;
-    }
-    w
 }
 
 /// Process-wide count of runs the machine layer actually *executed*
@@ -422,30 +275,6 @@ pub fn run_with(
     fast_forward: bool,
 ) -> RunResult {
     let n_cores = config.cores.max(1);
-    if n_cores > 1 && config.exec == ExecMode::Parallel {
-        // Phase-A workers draw from the same budget as grid workers
-        // and frontend shards; a dry pool means this run steps
-        // serially instead of oversubscribing the host. Permits beyond
-        // what the chunk partition can use go straight back.
-        let mut claim = frontend.budget.claim_up_to(n_cores - 1);
-        let workers = effective_workers(n_cores, claim.taken());
-        claim.shrink_to(workers);
-        if workers > 0 {
-            return run_parallel(config, cache, frontend, fast_forward, n_cores, workers);
-        }
-    }
-    run_serial(config, cache, frontend, fast_forward, n_cores)
-}
-
-/// The reference schedule: one thread steps every core, both phases,
-/// in core order.
-fn run_serial(
-    config: &SimConfig,
-    cache: &TraceCache,
-    frontend: &Frontend,
-    fast_forward: bool,
-    n_cores: usize,
-) -> RunResult {
     let mut list = ProgramList::new(n_cores * config.threads);
     let mut sampler = Sampler::from_knob(n_cores);
     if medsim_obs::tracing() {
@@ -456,7 +285,7 @@ fn run_serial(
     // the scope — dropping a core drops its ring consumers, which
     // unblocks any producer still mid-program.
     std::thread::scope(|scope| {
-        let (mut cores, _backend) = build_cores(config, n_cores);
+        let mut cores = build_cores(config, n_cores);
         let source_for = source_factory(config, cache, frontend, scope);
         for (core, cpu) in cores.iter_mut().enumerate() {
             for tid in 0..config.threads {
@@ -494,328 +323,6 @@ fn run_serial(
     })
 }
 
-/// A counted round barrier the coordinator can cancel. `wait` blocks
-/// until all participants arrive, exactly like `std::sync::Barrier` —
-/// unless `cancel` has been called, in which case every parked waiter
-/// wakes immediately and every subsequent `wait` returns without
-/// blocking. `wait` returns `true` iff the barrier was cancelled, so a
-/// waiter can distinguish an orderly round release from a teardown.
-///
-/// The cancel path is what `std::sync::Barrier` cannot express: an
-/// aborting coordinator has no way to know which gate each worker will
-/// arrive at next (a worker released from one gate may or may not have
-/// sampled an abort flag before parking at the following gate), so any
-/// protocol built on counted waits has a lost-pairing window. A sticky
-/// cancel needs no pairing at all.
-struct RoundBarrier {
-    participants: usize,
-    state: Mutex<BarrierState>,
-    cond: Condvar,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    cancelled: bool,
-}
-
-impl RoundBarrier {
-    fn new(participants: usize) -> Self {
-        RoundBarrier {
-            participants,
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                cancelled: false,
-            }),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Blocks until all participants arrive (returns `false`) or the
-    /// barrier is cancelled (returns `true`, immediately if cancel
-    /// already happened).
-    fn wait(&self) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.cancelled {
-            return true;
-        }
-        st.arrived += 1;
-        if st.arrived == self.participants {
-            st.arrived = 0;
-            st.generation = st.generation.wrapping_add(1);
-            self.cond.notify_all();
-            return false;
-        }
-        let gen = st.generation;
-        while st.generation == gen && !st.cancelled {
-            st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        st.cancelled
-    }
-
-    /// Sticky: wakes every parked waiter and makes all future `wait`
-    /// calls return `true` without blocking.
-    fn cancel(&self) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.cancelled = true;
-        self.cond.notify_all();
-    }
-}
-
-/// Releases the phase-A workers and the frontend producers if the
-/// coordinator unwinds mid-run — most importantly through the
-/// `max_cycles` model-deadlock assert, whose diagnostic must reach the
-/// user instead of hanging the scope join. On drop (armed): cancels the
-/// round barrier so workers parked at (or headed for) either gate exit,
-/// then detaches every core's ring consumers so producers blocked on
-/// full rings unblock. The normal exit path shuts down inline through
-/// the `done` flag and disarms the guard.
-///
-/// A panic *inside a worker's* phase A still hangs the coordinator at
-/// the phase-A barrier — worker code is a `Cpu` stepping whose
-/// invariants the serial schedule exercises identically first, so a
-/// worker-only panic would require a scheduling-dependent model bug.
-struct AbortGuard<'a> {
-    cells: &'a [Mutex<Cpu>],
-    barrier: &'a RoundBarrier,
-    armed: bool,
-}
-
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        self.barrier.cancel();
-        for cell in self.cells {
-            let mut cpu = match cell.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            cpu.detach_sources();
-        }
-    }
-}
-
-/// The quantum schedule: each round the coordinator publishes a cycle
-/// count `k` — `0` for one per-cycle lockstep round (phase A fanned out
-/// on `n_workers + 1` participants, phase B serial in core order), or
-/// `k ≥ 2` for a quantum every participant steps its chunk of cores
-/// through independently (deferred backend traffic, parking) before the
-/// coordinator's boundary merge. The calling thread takes the first
-/// chunk of cores either way.
-fn run_parallel(
-    config: &SimConfig,
-    cache: &TraceCache,
-    frontend: &Frontend,
-    fast_forward: bool,
-    n_cores: usize,
-    n_workers: usize,
-) -> RunResult {
-    let (cores, backend) = build_cores(config, n_cores);
-    let cells: Vec<Mutex<Cpu>> = cores.into_iter().map(Mutex::new).collect();
-    let mut list = ProgramList::new(n_cores * config.threads);
-    let mut sampler = Sampler::from_knob(n_cores);
-    let mut sched = SchedCounters::default();
-    if medsim_obs::tracing() {
-        medsim_obs::emit(0, LANE_MACHINE, EventKind::RunBegin, n_cores as u64);
-    }
-    let barrier = RoundBarrier::new(n_workers + 1);
-    let done = AtomicBool::new(false);
-    // The coordinator publishes the next round's shape here strictly
-    // before releasing the workers at the cycle-start gate, so a plain
-    // load after that gate is ordered.
-    let round = AtomicU64::new(0);
-    let participants = n_workers + 1;
-    let chunk = |p: usize| chunk_range(p, n_cores, participants);
-    std::thread::scope(|scope| {
-        for w in 1..=n_workers {
-            let cells = &cells;
-            let barrier = &barrier;
-            let done = &done;
-            let round = &round;
-            let range = chunk(w);
-            scope.spawn(move || loop {
-                // A cancelled gate (either of them) is the abort
-                // guard's teardown: exit without touching the cells.
-                if barrier.wait() {
-                    break;
-                }
-                // Normal termination: the coordinator sets `done`
-                // strictly before arriving at this gate.
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-                match round.load(Ordering::Acquire) {
-                    0 => {
-                        for i in range.clone() {
-                            cells[i].lock().expect("core poisoned").cycle_compute();
-                        }
-                    }
-                    k => {
-                        for i in range.clone() {
-                            let mut cpu = cells[i].lock().expect("core poisoned");
-                            cpu.mem_mut().begin_defer();
-                            let bound = cpu.now() + k;
-                            cpu.step_quantum(bound, fast_forward);
-                        }
-                    }
-                }
-                // `done` must NOT be checked after this gate: the
-                // coordinator's normal-termination store happens during
-                // the boundary work, concurrently, and an early exit
-                // would strand the coordinator at the next gate. (An
-                // abort-flag check here would have the mirror-image
-                // race — seeing the flag and exiting without arriving
-                // at a gate the aborter is counting on — which is why
-                // teardown is a barrier cancel, not a flag.)
-                if barrier.wait() {
-                    break;
-                }
-            });
-        }
-        let mut abort = AbortGuard {
-            cells: &cells,
-            barrier: &barrier,
-            armed: true,
-        };
-
-        let source_for = source_factory(config, cache, frontend, scope);
-        let kq = quantum_cycles(config, &mem_config_of(config));
-        let mut finished = false;
-        let mut next_k = {
-            let mut guards: Vec<MutexGuard<'_, Cpu>> = cells
-                .iter()
-                .map(|c| c.lock().expect("core poisoned"))
-                .collect();
-            for (core, cpu) in guards.iter_mut().enumerate() {
-                for tid in 0..config.threads {
-                    cpu.attach_source(tid, source_for(core * config.threads + tid));
-                }
-            }
-            quantum_feasible(&mut guards, kq)
-        };
-        // The machine clock at the start of each round — every core
-        // agrees on it at every round boundary (lockstep invariant).
-        let mut clock: u64 = 0;
-        loop {
-            if finished {
-                done.store(true, Ordering::Release);
-            }
-            let k = next_k;
-            round.store(k, Ordering::Release);
-            if k > 0 && medsim_obs::tracing() {
-                medsim_obs::emit(clock, LANE_MACHINE, EventKind::QuantumBegin, k);
-            }
-            barrier.wait(); // release the workers into the round
-            if finished {
-                break;
-            }
-            if k == 0 {
-                for i in chunk(0) {
-                    cells[i].lock().expect("core poisoned").cycle_compute();
-                }
-            } else {
-                for i in chunk(0) {
-                    let mut cpu = cells[i].lock().expect("core poisoned");
-                    cpu.mem_mut().begin_defer();
-                    let bound = cpu.now() + k;
-                    cpu.step_quantum(bound, fast_forward);
-                }
-            }
-            barrier.wait(); // round complete everywhere
-
-            // Boundary work under one lock acquisition per core: phase
-            // B (or the quantum merge), fast-forward, refill, and the
-            // next round's feasibility probe all share these guards.
-            let mut guards: Vec<MutexGuard<'_, Cpu>> = cells
-                .iter()
-                .map(|c| c.lock().expect("core poisoned"))
-                .collect();
-            if k == 0 {
-                // Phase B — the bus arbiter: fixed core order, one
-                // thread.
-                sched.lockstep_rounds += 1;
-                let mut any_activity = false;
-                for cpu in guards.iter_mut() {
-                    cpu.cycle_mem_frontend();
-                    any_activity |= cpu.cycle_finish();
-                }
-                if fast_forward && !any_activity {
-                    let wake = guards.iter().filter_map(|c| c.fast_forward_wake()).min();
-                    if let Some(w) = wake {
-                        for cpu in guards.iter_mut() {
-                            cpu.apply_fast_forward(w);
-                        }
-                    }
-                }
-            } else {
-                let backend = backend
-                    .as_ref()
-                    .expect("a multi-core machine shares its backend");
-                let replays = merge_quantum(&mut guards, backend, clock, clock + k);
-                sched.quantum_rounds += 1;
-                sched.quantum_cycles += k;
-                sched.deferred_replays += replays;
-                if medsim_obs::tracing() {
-                    medsim_obs::emit(clock + k, LANE_MACHINE, EventKind::QuantumEnd, replays);
-                }
-            }
-            if let Some(s) = sampler.as_mut() {
-                let now = guards[0].now();
-                s.maybe_sample(now, guards.iter_mut().map(|g| &mut **g));
-            }
-            for (core, cpu) in guards.iter_mut().enumerate() {
-                list.refill(core, config.threads, cpu, &source_for);
-            }
-            finished = list.all_done();
-            next_k = if finished {
-                0
-            } else {
-                quantum_feasible(&mut guards, kq)
-            };
-            let now = guards[0].now();
-            clock = now;
-            // The abort guard's drop re-locks every cell: release these
-            // guards before the assert below can unwind into it.
-            drop(guards);
-            if !finished {
-                assert!(
-                    now < config.max_cycles,
-                    "simulation exceeded {} cycles — model deadlock?",
-                    config.max_cycles
-                );
-            }
-        }
-
-        // Workers have observed `done` and exited; the inline shutdown
-        // protocol replaced the guard's.
-        abort.armed = false;
-        let mut guards: Vec<_> = cells
-            .iter()
-            .map(|c| c.lock().expect("core poisoned"))
-            .collect();
-        // The cells outlive the scope (the phase-A workers borrow
-        // them), so the ring consumers must be dropped explicitly
-        // before the scope joins any producer still blocked on a full
-        // ring.
-        for g in &mut guards {
-            g.detach_sources();
-        }
-        let refs: Vec<&Cpu> = guards.iter().map(|g| &**g).collect();
-        let mut result = RunResult::collect_cores(config, &refs);
-        // Parks came in with the per-core stats; the round and replay
-        // counts live here in the scheduler.
-        result.sched.lockstep_rounds = sched.lockstep_rounds;
-        result.sched.quantum_rounds = sched.quantum_rounds;
-        result.sched.quantum_cycles = sched.quantum_cycles;
-        result.sched.deferred_replays = sched.deferred_replays;
-        write_obs_outputs(config, &result, &refs, sampler.as_ref());
-        result
-    })
-}
-
 /// Machine-level idle fast-forward: every core just finished a cycle
 /// with no activity anywhere, so jump the whole chip to the earliest
 /// per-core wakeup (idle cycles touch no shared state, so each core's
@@ -829,115 +336,16 @@ fn chip_fast_forward(cores: &mut [Cpu]) {
     }
 }
 
-/// The largest quantum (≤ `kq`, the lookahead bound) every core can
-/// step without its in-quantum fetches ever querying an instruction
-/// source or a context draining mid-quantum, or `0` when the next round
-/// must run per-cycle lockstep. Quanta below 2 cycles cannot beat the
-/// barrier round they replace, so they degenerate to it.
-fn quantum_feasible(guards: &mut [MutexGuard<'_, Cpu>], kq: u64) -> u64 {
-    if kq < 2 {
-        return 0;
-    }
-    let mut h = kq;
-    for g in guards.iter_mut() {
-        h = h.min(g.quantum_horizon(kq));
-        if h < 2 {
-            return 0;
-        }
-    }
-    h
-}
-
-/// The quantum-boundary synchronization: replay every core's deferred
-/// backend traffic and finish every parked core, interleaved in
-/// **(cycle, core) order** over `start..bound` — the exact per-cycle
-/// bus-arbiter sequence the serial schedule produces, so the shared
-/// backend observes an identical monotonic request stream. Catch-up
-/// cycles step live (both phases, no fast-forward) so a formerly-parked
-/// core's requests reach the backend at their true cycle: after every
-/// other core's earlier traffic, before all later traffic.
-///
-/// Returns the number of deferred operations replayed (the
-/// [`SchedCounters::deferred_replays`] contribution of this boundary).
-fn merge_quantum(
-    guards: &mut [MutexGuard<'_, Cpu>],
-    backend: &SharedL2,
-    start: u64,
-    bound: u64,
-) -> u64 {
-    let logs: Vec<Vec<DeferredOp>> = guards.iter_mut().map(|g| g.mem_mut().end_defer()).collect();
-    let replays = logs.iter().map(|l| l.len() as u64).sum();
-    let mut idx = vec![0usize; logs.len()];
-    for c in start..bound {
-        for (i, g) in guards.iter_mut().enumerate() {
-            let log = &logs[i];
-            if idx[i] < log.len() && log[idx[i]].at == c {
-                // Batch this core's cycle-c ops under one backend lock —
-                // and never hold it across the live step below, which
-                // takes the same lock from inside the core's MemSystem.
-                let mut b = backend.lock().expect("L2 backend poisoned");
-                while idx[i] < log.len() && log[idx[i]].at == c {
-                    b.replay(log[idx[i]]);
-                    idx[i] += 1;
-                }
-            }
-            if g.now() == c {
-                // A core live at cycle c either parked there (phase A
-                // already done) or was caught up to it by the previous
-                // sweep slot; either way exactly one cycle advances, so
-                // the (cycle, core) interleaving stays exact.
-                if g.parked() {
-                    g.finish_parked_cycle();
-                } else {
-                    let _ = g.cycle_no_ff();
-                }
-            }
-        }
-    }
-    for (i, g) in guards.iter().enumerate() {
-        debug_assert_eq!(g.now(), bound, "core {i} short of the quantum boundary");
-        debug_assert!(!g.parked(), "core {i} still parked after the merge");
-        debug_assert_eq!(
-            idx[i],
-            logs[i].len(),
-            "core {i} has unreplayed deferred ops"
-        );
-    }
-    replays
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn exec_mode_labels() {
-        assert_eq!(ExecMode::Serial.label(), "serial");
-        assert_eq!(ExecMode::Parallel.to_string(), "parallel");
-    }
-
-    #[test]
     fn env_knobs_freeze() {
-        let mode = ExecMode::from_env();
         let cores = cores_from_env();
-        crate::testenv::with_env_vars(&[("MEDSIM_EXEC", "serial"), ("MEDSIM_CORES", "7")], || {
-            assert_eq!(ExecMode::from_env(), mode, "mode resolves once");
+        crate::testenv::with_env_vars(&[("MEDSIM_CORES", "7")], || {
             assert_eq!(cores_from_env(), cores, "cores resolve once");
         });
-    }
-
-    #[test]
-    fn quantum_cycles_derives_from_the_hierarchy_and_honors_overrides() {
-        let mut cfg = SimConfig::new(medsim_workloads::trace::SimdIsa::Mmx, 2);
-        cfg.quantum = None;
-        let mem = mem_config_of(&cfg);
-        assert_eq!(quantum_cycles(&cfg, &mem), mem.quantum_bound());
-        assert!(quantum_cycles(&cfg, &mem) >= 1);
-        let forced = cfg.clone().with_quantum(3);
-        assert_eq!(quantum_cycles(&forced, &mem), 3);
-        // `0` is clamped to the degenerate lockstep quantum.
-        let degenerate = cfg.with_quantum(0);
-        assert_eq!(quantum_cycles(&degenerate, &mem), 1);
     }
 
     #[test]
@@ -949,37 +357,5 @@ mod tests {
             list.completed[s] = true;
         }
         assert!(list.all_done());
-    }
-
-    #[test]
-    fn chunks_cover_every_core_exactly_once_and_never_go_empty() {
-        for n_cores in 1..=17usize {
-            for granted in 0..=8usize {
-                let workers = effective_workers(n_cores, granted);
-                assert!(workers <= granted);
-                let participants = workers + 1;
-                let chunk = |p: usize| chunk_range(p, n_cores, participants);
-                let mut seen = vec![0u32; n_cores];
-                for p in 0..participants {
-                    assert!(
-                        !chunk(p).is_empty(),
-                        "cores {n_cores} granted {granted}: participant {p} starved"
-                    );
-                    for i in chunk(p) {
-                        seen[i] += 1;
-                    }
-                }
-                assert!(
-                    seen.iter().all(|&c| c == 1),
-                    "cores {n_cores} x workers {workers}: {seen:?}"
-                );
-            }
-        }
-        // The reviewer's case: 5 cores, 3 permits granted — div_ceil
-        // chunking would starve the 4th participant, so only 2 workers
-        // are useful.
-        assert_eq!(effective_workers(5, 3), 2);
-        assert_eq!(effective_workers(4, 3), 3);
-        assert_eq!(effective_workers(1, 8), 0);
     }
 }

@@ -37,12 +37,8 @@
 //! complete file, and because producers are deterministic the losers'
 //! bytes equal the winner's.
 //!
-//! [`SchedCounters`] are stored but deliberately **excluded from the
-//! key**, matching their exclusion from [`RunResult`] equality: they
-//! record host scheduling decisions, not architectural outcomes.
-//! Because the key does cover [`SimConfig::exec`] and
-//! [`SimConfig::quantum`], the advisory block a warm hit returns
-//! always came from an identically-scheduled cold run.
+//! The inert [`SchedCounters`] block (all zeros) is still stored, so
+//! the file format is unchanged.
 //!
 //! [`ResultCache`] is the read-through/write-back layer
 //! [`crate::sim::Simulation::run_resulted`] and
@@ -129,7 +125,6 @@ impl ResultKey {
             isa,
             threads,
             cores,
-            exec,
             hierarchy,
             fetch_policy,
             spec,
@@ -140,12 +135,10 @@ impl ResultKey {
             stream_batch,
             decouple,
             decouple_depth,
-            quantum,
         } = config;
         h.u8(isa_tag(*isa));
         h.usz(*threads);
         h.usz(*cores);
-        h.u8(*exec as u8);
         h.u8(hierarchy_tag(*hierarchy));
         h.u8(policy_tag(*fetch_policy));
         h.u64(spec.scale.to_bits());
@@ -157,13 +150,6 @@ impl ResultKey {
         h.u8(u8::from(*stream_batch));
         h.u8(u8::from(*decouple));
         h.usz(*decouple_depth);
-        match quantum {
-            None => h.u8(0),
-            Some(k) => {
-                h.u8(1);
-                h.u64(*k);
-            }
-        }
         // The memory system the run would actually simulate, resolved
         // the same way the machine builds its cores — so an ablation
         // override and an identical explicit config hash identically.
@@ -535,8 +521,8 @@ fn serialize_result(r: &RunResult) -> Vec<u8> {
     ] {
         p.extend_from_slice(&v.to_le_bytes());
     }
-    // The advisory tail: host-scheduling counters, stored for
-    // reporting but outside the key and outside RunResult equality.
+    // The inert scheduling tail (all zeros), kept so the file format
+    // does not change.
     let SchedCounters {
         lockstep_rounds,
         quantum_rounds,
@@ -935,9 +921,7 @@ mod tests {
         let Ok(back) = parse_result(&serialize_result(&r)) else {
             panic!("round trip failed to parse");
         };
-        assert_eq!(back, r, "architectural fields");
-        // RunResult equality skips sched; the store must not.
-        assert_eq!(back.sched, r.sched, "advisory block survives the disk");
+        assert_eq!(back, r, "every field, the sched block included");
     }
 
     #[test]
@@ -949,7 +933,6 @@ mod tests {
         store.store(&key(), &r).expect("write");
         let back = store.load(&key()).expect("warm load");
         assert_eq!(back, r);
-        assert_eq!(back.sched, r.sched);
         let stats = store.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.writes, 1);

@@ -31,10 +31,6 @@ pub struct SimConfig {
     /// private L1 levels, all sharing one L2/DRAM backend. The default
     /// of `1` is the paper's machine.
     pub cores: usize,
-    /// How the host steps the cores of a CMP each cycle (serial
-    /// reference order, or phase-A-parallel behind a barrier). Results
-    /// are bitwise identical either way; irrelevant at `cores = 1`.
-    pub exec: ExecMode,
     /// Cache-hierarchy organization.
     pub hierarchy: HierarchyKind,
     /// SMT fetch policy.
@@ -65,14 +61,6 @@ pub struct SimConfig {
     /// early-issued elements. `0` disables run-ahead issuing entirely —
     /// bitwise identical to `decouple = false`.
     pub decouple_depth: usize,
-    /// Parallel-stepping quantum override in cycles (`MEDSIM_QUANTUM`):
-    /// how long each core of a parallel CMP steps between shared-
-    /// backend synchronizations. `None` derives it from the active
-    /// memory configuration's minimum cross-core interaction latency
-    /// (see [`machine::quantum_cycles`]); `1` (or `0`) forces the
-    /// degenerate per-cycle lockstep schedule. Results are bitwise
-    /// identical for every value; irrelevant under [`ExecMode::Serial`].
-    pub quantum: Option<u64>,
 }
 
 impl SimConfig {
@@ -88,7 +76,6 @@ impl SimConfig {
             isa,
             threads,
             cores: machine::cores_from_env(),
-            exec: ExecMode::from_env(),
             hierarchy: HierarchyKind::Conventional,
             fetch_policy: FetchPolicy::RoundRobin,
             spec: WorkloadSpec::default(),
@@ -99,7 +86,6 @@ impl SimConfig {
             stream_batch: knobs.stream_batch,
             decouple: knobs.decouple,
             decouple_depth: knobs.decouple_depth,
-            quantum: knobs.quantum,
         }
     }
 
@@ -110,11 +96,10 @@ impl SimConfig {
         self
     }
 
-    /// Builder: select the host stepping mode for a CMP (differential
-    /// testing; results are identical either way).
+    /// Inert identity builder ([`ExecMode::Serial`] is the only
+    /// schedule): kept for the benchmark harness.
     #[must_use]
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
+    pub fn with_exec(self, _exec: ExecMode) -> Self {
         self
     }
 
@@ -145,14 +130,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_decouple_depth(mut self, depth: usize) -> Self {
         self.decouple_depth = depth;
-        self
-    }
-
-    /// Builder: force the parallel-stepping quantum to `k` cycles
-    /// (differential testing; `1` degenerates to per-cycle lockstep).
-    #[must_use]
-    pub fn with_quantum(mut self, k: u64) -> Self {
-        self.quantum = Some(k);
         self
     }
 
@@ -269,7 +246,7 @@ impl Simulation {
     ///
     /// The run is executed by the machine layer ([`crate::machine`]):
     /// one core by default, or a CMP of [`SimConfig::cores`] SMT cores
-    /// sharing an L2/DRAM backend, stepped per [`SimConfig::exec`].
+    /// sharing an L2/DRAM backend, stepped in fixed core order.
     ///
     /// # Panics
     ///

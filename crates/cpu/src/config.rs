@@ -312,19 +312,6 @@ pub fn stream_batch_from_env() -> bool {
     std::env::var("MEDSIM_STREAM_BATCH").map_or(true, |v| v != "0")
 }
 
-/// Quantum override from `MEDSIM_QUANTUM`: the number of cycles each
-/// core of a parallel CMP machine steps between shared-backend
-/// synchronizations. Unset (or unparsable) means *derive it* from the
-/// memory configuration's minimum cross-core interaction latency;
-/// `1` (or `0`) forces the degenerate per-cycle lockstep schedule.
-///
-/// Raw environment read — prefer [`EnvKnobs::get`], which resolves it
-/// once per process.
-#[must_use]
-pub fn quantum_from_env() -> Option<u64> {
-    std::env::var("MEDSIM_QUANTUM").ok()?.parse().ok()
-}
-
 /// The pipeline's environment knobs, resolved **once** per process.
 ///
 /// Config constructors ([`CpuConfig::paper`],
@@ -342,9 +329,6 @@ pub struct EnvKnobs {
     pub stream_batch: bool,
     /// `MEDSIM_WHEEL_SLOTS`: calendar-queue horizon.
     pub wheel_slots: usize,
-    /// `MEDSIM_QUANTUM`: parallel-stepping quantum override (`None` =
-    /// derive from the memory configuration).
-    pub quantum: Option<u64>,
     /// `MEDSIM_DECOUPLE`: decoupled run-ahead vector fetch.
     pub decouple: bool,
     /// `MEDSIM_DECOUPLE_DEPTH`: vector access-queue window.
@@ -361,7 +345,6 @@ impl EnvKnobs {
             scheduler: SchedulerKind::from_env(),
             stream_batch: stream_batch_from_env(),
             wheel_slots: wheel_slots_from_env(),
-            quantum: quantum_from_env(),
             decouple: decouple_from_env(),
             decouple_depth: decouple_depth_from_env(),
         })
@@ -446,7 +429,6 @@ mod tests {
             &[
                 ("MEDSIM_STREAM_BATCH", "0"),
                 ("MEDSIM_WHEEL_SLOTS", "64"),
-                ("MEDSIM_QUANTUM", "3"),
                 ("MEDSIM_DECOUPLE_DEPTH", "2"),
             ],
             EnvKnobs::get,

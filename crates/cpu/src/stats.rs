@@ -48,13 +48,9 @@ pub struct CpuStats {
     pub vector_only_cycles: u64,
     /// Cycles in which nothing issued at all.
     pub idle_cycles: u64,
-    /// Quantum-edge parks because phase B would need a synchronous
-    /// backend reply (load/ifetch miss or store admission). Zero under
-    /// a serial or lockstep schedule.
+    /// Inert (always 0): kept for the benchmark harness.
     pub parks_backend_reply: u64,
-    /// Quantum-edge parks because a store's write-allocate eviction
-    /// could collide with a probed-resident load's set in the same
-    /// cycle. Zero under a serial or lockstep schedule.
+    /// Inert (always 0): kept for the benchmark harness.
     pub parks_store_evict: u64,
     /// Decoupled vector fetch: sum of the access queue's occupancy over
     /// [`CpuStats::vfetch_cycles`] (occupancy_sum / cycles = average
@@ -212,8 +208,6 @@ mod tests {
             mispredicts: 1,
             programs_completed: 1,
         };
-        s.parks_backend_reply = 7;
-        s.parks_store_evict = 3;
 
         assert_eq!(s.committed(), 500);
         assert_eq!(s.committed_equiv(), 1500);

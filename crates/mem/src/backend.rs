@@ -10,8 +10,7 @@
 //! exclusively (zero-overhead, exactly the pre-split layout), while the
 //! cores of a CMP share one through the machine layer's per-cycle bus
 //! arbiter — requests drain in fixed core order within a cycle, so the
-//! backend only ever sees a deterministic, monotonic access sequence
-//! regardless of how the host schedules the core worker threads.
+//! backend only ever sees a deterministic, monotonic access sequence.
 
 use crate::cache::Cache;
 use crate::config::MemConfig;
@@ -28,28 +27,6 @@ use std::sync::{Arc, Mutex};
 /// mutex is never contended — it exists to make the sharing safe, not
 /// to schedule it.
 pub type SharedL2 = Arc<Mutex<L2Backend>>;
-
-/// One deferred shared-backend operation, logged by a core stepping
-/// inside a multi-cycle quantum instead of touching the [`SharedL2`]
-/// directly. The only backend traffic a core can emit without needing
-/// the result back in the same cycle is the write-buffer drain slot
-/// ([`L2Backend::store_drain_slot`]) — every other backend call returns
-/// a completion time the core consumes immediately, so the machine
-/// layer parks such a core at the quantum edge instead of logging.
-///
-/// At the quantum boundary the machine drains every core's log in
-/// (cycle, core) order — the same sequence the serial per-cycle bus
-/// arbiter produces — by replaying each entry with
-/// [`L2Backend::store_drain_slot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeferredOp {
-    /// The core-local cycle the operation was issued at.
-    pub at: Cycle,
-    /// The line address being drained into the L2.
-    pub line: u64,
-    /// The start cycle the drain slot reserves from.
-    pub start: Cycle,
-}
 
 /// The L2 cache, its MSHRs and banks, and the DRAM channel — the levels
 /// of the hierarchy a CMP shares between cores.
@@ -126,14 +103,6 @@ impl L2Backend {
         let bank = self.l2.bank_of(line);
         let slot = self.l2_banks[bank].max(start);
         self.l2_banks[bank] = slot + 2;
-    }
-
-    /// Replay one operation a core deferred during a quantum. Replays
-    /// happen in (cycle, core) order at the quantum boundary, so the
-    /// backend observes the exact access sequence the serial per-cycle
-    /// bus arbiter would have produced.
-    pub fn replay(&mut self, op: DeferredOp) {
-        self.store_drain_slot(op.line, op.start);
     }
 
     /// A repeat access to a resident L2 line (the memoized fast path of

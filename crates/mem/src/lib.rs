@@ -48,7 +48,7 @@ pub mod stats;
 pub mod system;
 pub mod wbuf;
 
-pub use backend::{DeferredOp, L2Backend, SharedL2};
+pub use backend::{L2Backend, SharedL2};
 pub use cache::{Cache, CacheConfig, CacheModel};
 pub use config::{HierarchyKind, MemConfig};
 pub use dram::{Dram, DramConfig};

@@ -174,7 +174,7 @@ pub fn set_report_path(path: Option<&str>) {
 // Events
 // ---------------------------------------------------------------------------
 
-/// Synthetic lane id for machine-level events (run + quantum spans).
+/// Synthetic lane id for machine-level events (the run span).
 pub const LANE_MACHINE: u32 = u32::MAX;
 /// Synthetic lane id for frontend worker events (ring stalls, budget
 /// waits) — they happen on host worker threads, not on a core.
@@ -198,13 +198,6 @@ pub enum EventKind {
     L2Miss,
     /// DRAM channel access (`arg` = 0 read, 1 write).
     DramAccess,
-    /// A multi-cycle quantum round begins (`arg` = quantum length).
-    QuantumBegin,
-    /// The quantum round's merge finished (`arg` = replayed ops).
-    QuantumEnd,
-    /// A core parked at the quantum edge (`arg` = 0 backend-reply
-    /// cause, 1 store-evict cause).
-    Park,
     /// A core blocked on an empty frontend ring (`arg` = 0).
     RingStall,
     /// A frontend fell back to inline synthesis because the job
@@ -314,8 +307,6 @@ fn event_name(kind: EventKind) -> &'static str {
         EventKind::L1Miss => "l1_miss",
         EventKind::L2Miss => "l2_miss",
         EventKind::DramAccess => "dram",
-        EventKind::QuantumBegin | EventKind::QuantumEnd => "quantum",
-        EventKind::Park => "park",
         EventKind::RingStall => "ring_stall",
         EventKind::BudgetWait => "budget_wait",
         EventKind::RunBegin | EventKind::RunEnd => "run",
@@ -326,8 +317,8 @@ fn event_name(kind: EventKind) -> &'static str {
 
 fn event_phase(kind: EventKind) -> &'static str {
     match kind {
-        EventKind::QuantumBegin | EventKind::RunBegin => "B",
-        EventKind::QuantumEnd | EventKind::RunEnd => "E",
+        EventKind::RunBegin => "B",
+        EventKind::RunEnd => "E",
         _ => "i",
     }
 }

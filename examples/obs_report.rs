@@ -1,8 +1,7 @@
 //! Observability walkthrough: run a small figure-5-style machine with
 //! event tracing, interval sampling and the per-run JSON report all
 //! switched on, then print where the artifacts landed alongside the
-//! headline numbers, the quantum-scheduler counters and the roofline
-//! placement.
+//! headline numbers and the roofline placement.
 //!
 //! ```sh
 //! cargo run --release --example obs_report
@@ -12,9 +11,8 @@
 //! ```
 //!
 //! The trace opens in Perfetto / `chrome://tracing`; the report is
-//! plain JSON (`schema: medsim-run-report/v1`).
+//! plain JSON (`schema: medsim-run-report/v2`).
 
-use medsim::core::report::{format_sched_counters, format_schedule_note};
 use medsim::core::runreport::Roofline;
 use medsim::core::sim::{SimConfig, Simulation};
 use medsim::obs;
@@ -46,7 +44,6 @@ fn main() {
         config.cores.max(1),
         config.threads
     );
-    println!("{}", format_schedule_note(&config));
 
     let result = Simulation::run(&config);
 
@@ -58,7 +55,6 @@ fn main() {
         result.l1_hit_rate * 100.0,
         result.l2_hit_rate * 100.0,
     );
-    println!("{}", format_sched_counters(&result));
 
     // The report file carries the full roofline section; recompute the
     // headline placement here for the console.

@@ -4,7 +4,7 @@
 //! why this binary holds exactly one test (integration tests in one
 //! binary run concurrently and would race the counter).
 
-use medsim::core::machine::{self, ExecMode};
+use medsim::core::machine;
 use medsim::core::runner::{run_grid_resulted, TraceCache};
 use medsim::core::sim::SimConfig;
 use medsim::core::ResultCache;
@@ -25,12 +25,7 @@ fn warm_grid_is_bitwise_identical_with_zero_pipeline_cycles() {
     .iter()
     .flat_map(|&h| {
         SimdIsa::ALL.iter().flat_map(move |&isa| {
-            [1usize, 2].map(move |t| {
-                SimConfig::new(isa, t)
-                    .with_exec(ExecMode::Serial)
-                    .with_hierarchy(h)
-                    .with_spec(spec)
-            })
+            [1usize, 2].map(move |t| SimConfig::new(isa, t).with_hierarchy(h).with_spec(spec))
         })
     })
     .collect();

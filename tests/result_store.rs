@@ -14,7 +14,6 @@
 //!    directory never publish a torn file, never leave temp files, and
 //!    a second wave is served entirely from disk.
 
-use medsim::core::machine::ExecMode;
 use medsim::core::resultstore::workload_checksum;
 use medsim::core::runner::{run_grid_resulted, TraceCache};
 use medsim::core::sim::{SimConfig, Simulation};
@@ -43,9 +42,7 @@ fn spec() -> WorkloadSpec {
 }
 
 fn small_config() -> SimConfig {
-    SimConfig::new(SimdIsa::Mmx, 1)
-        .with_exec(ExecMode::Serial)
-        .with_spec(spec())
+    SimConfig::new(SimdIsa::Mmx, 1).with_spec(spec())
 }
 
 #[test]
@@ -143,7 +140,6 @@ fn every_identity_knob_perturbs_the_key() {
     const WORKLOAD: u64 = 0xABCD_EF01_2345_6789;
     let base = SimConfig::new(SimdIsa::Mmx, 2)
         .with_cores(1)
-        .with_exec(ExecMode::Serial)
         .with_hierarchy(HierarchyKind::Conventional)
         .with_policy(FetchPolicy::RoundRobin)
         .with_scheduler(SchedulerKind::Wheel)
@@ -153,7 +149,7 @@ fn every_identity_knob_perturbs_the_key() {
     assert_eq!(base_key, key_of(&base.clone()), "re-hash is stable");
 
     // One mutation per SimConfig field (every EnvKnobs-backed knob —
-    // scheduler, stream_batch, quantum, decouple, decouple_depth —
+    // scheduler, stream_batch, decouple, decouple_depth —
     // included; wheel_slots, the one knob SimConfig does not carry, is
     // covered below via the explicit parameter).
     type KnobFlip = (&'static str, Box<dyn Fn(&mut SimConfig)>);
@@ -161,7 +157,6 @@ fn every_identity_knob_perturbs_the_key() {
         ("isa", Box::new(|c| c.isa = SimdIsa::Mom)),
         ("threads", Box::new(|c| c.threads = 4)),
         ("cores", Box::new(|c| c.cores = 2)),
-        ("exec", Box::new(|c| c.exec = ExecMode::Parallel)),
         (
             "hierarchy",
             Box::new(|c| c.hierarchy = HierarchyKind::Decoupled),
@@ -194,7 +189,6 @@ fn every_identity_knob_perturbs_the_key() {
             "decouple_depth",
             Box::new(|c| c.decouple_depth = c.decouple_depth.wrapping_add(1)),
         ),
-        ("quantum", Box::new(|c| c.quantum = Some(7))),
     ];
     let mut keys = vec![("base", base_key)];
     for (label, mutate) in &mutations {
@@ -205,13 +199,6 @@ fn every_identity_knob_perturbs_the_key() {
         assert_eq!(k, key_of(&c.clone()), "{label} re-hash is stable");
         keys.push((label, k));
     }
-    // Quantum *value* matters too, not just its presence.
-    let mut q8 = base.clone();
-    q8.quantum = Some(8);
-    let mut q9 = base.clone();
-    q9.quantum = Some(9);
-    assert_ne!(key_of(&q8), key_of(&q9), "quantum value participates");
-
     // Knobs inside an ablation override participate individually.
     let mut with_mem = base.clone();
     with_mem.mem_override = Some(MemConfig::paper_with(with_mem.hierarchy));
@@ -297,13 +284,7 @@ fn trace_bytes_feed_the_workload_checksum() {
 fn stress_grid() -> Vec<SimConfig> {
     SimdIsa::ALL
         .iter()
-        .flat_map(|&isa| {
-            [1usize, 2].map(|t| {
-                SimConfig::new(isa, t)
-                    .with_exec(ExecMode::Serial)
-                    .with_spec(spec())
-            })
-        })
+        .flat_map(|&isa| [1usize, 2].map(|t| SimConfig::new(isa, t).with_spec(spec())))
         .collect()
 }
 
